@@ -177,9 +177,9 @@ int main(int argc, char** argv) {
       // recorded as its inverse (us per good txn) so that a goodput
       // *drop* — the regression we care about — raises the value and
       // trips bench_compare's one-sided threshold.
-      const std::string cell_name = std::string("f") +
-                                    TableWriter::Fmt(factor, 2) +
-                                    (limits ? "_on" : "_off");
+      std::string cell_name = "f";
+      cell_name += TableWriter::Fmt(factor, 2);
+      cell_name += limits ? "_on" : "_off";
       if (cell.goodput_tps > 0) {
         bench::RecordBenchCase({"good_txn_cost/" + cell_name,
                                 1e6 / cell.goodput_tps, "us/txn", 0.0, 0});

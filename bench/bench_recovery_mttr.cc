@@ -14,7 +14,7 @@
 /// the surviving replica after the node is back.
 ///
 /// Both grids are virtual-clock deterministic; their MTTR cells are
-/// recorded with unit "s" and gated by perf_gate.sh stage 2 against
+/// recorded with unit "s" and gated by perf_gate.sh against
 /// bench/baselines/BENCH_recovery_mttr.json (--unit=s --no-normalize).
 ///
 /// Output: MTTR tables + bench_out CSVs (recovery_mttr.csv,
@@ -124,7 +124,7 @@ CellResult RunCell(double db_size_mb, double rebuild_rate_kbps,
   config.replication.durability.enabled = dura.enabled;
   config.replication.durability.scrub_rate_kbps = dura.scrub_rate_kbps;
   ClusterEngine engine(&sim, catalog, registry, config);
-  if (telemetry != nullptr && obs::Enabled()) {
+  if (telemetry != nullptr) {
     engine.set_telemetry(telemetry->view());
   }
   const int64_t rows = 600;

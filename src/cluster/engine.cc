@@ -712,56 +712,26 @@ void ClusterEngine::RecordCompletion(SimTime arrival, SimTime finished) {
   ++throughput_[window];
 }
 
-void ClusterEngine::InitPending(PendingTxn& pending) {
-  pending.req.txn_id = ++next_txn_seq_;
-  // Negative request priority inherits the procedure's default.
-  pending.priority = pending.req.priority >= 0
-                         ? pending.req.priority
-                         : registry_.Get(pending.req.proc).priority;
-  pending.bucket = KeyToBucket(pending.req.key, config_.num_buckets);
-  if (config_.overload.enabled && config_.overload.queue_deadline > 0) {
-    pending.deadline = pending.arrival + config_.overload.queue_deadline;
-  }
-  if (traces_ != nullptr) {
-    pending.trace =
-        traces_->Sample(pending.req.txn_id, registry_.Get(pending.req.proc).name,
-                        pending.bucket, pending.arrival);
-  }
-}
-
 void ClusterEngine::Submit(TxnRequest req,
                            std::function<void(const TxnResult&)> on_done) {
   auto pending = std::make_shared<PendingTxn>(
       PendingTxn{std::move(req), sim_->Now(), std::move(on_done)});
-  InitPending(*pending);
+  pending->req.txn_id = ++next_txn_seq_;
+  // Negative request priority inherits the procedure's default.
+  pending->priority = pending->req.priority >= 0
+                          ? pending->req.priority
+                          : registry_.Get(pending->req.proc).priority;
+  pending->bucket = KeyToBucket(pending->req.key, config_.num_buckets);
+  if (config_.overload.enabled && config_.overload.queue_deadline > 0) {
+    pending->deadline = pending->arrival + config_.overload.queue_deadline;
+  }
+  if (traces_ != nullptr) {
+    pending->trace = traces_->Sample(pending->req.txn_id,
+                                     registry_.Get(pending->req.proc).name,
+                                     pending->bucket, pending->arrival);
+  }
   ++txns_in_flight_;
   RouteAndRun(std::move(pending));
-}
-
-void ClusterEngine::SubmitBatch(
-    std::vector<TxnRequest> reqs,
-    std::function<void(size_t, const TxnResult&)> on_done) {
-  if (reqs.empty()) return;
-  // One block allocation for the whole batch; each txn's lifetime is
-  // still managed individually through aliasing shared_ptrs into the
-  // block. Ids, service-time draws, and enqueue order are identical to
-  // submitting the requests one at a time (the equivalence suite holds
-  // the traces byte-for-byte equal).
-  auto block = std::make_shared<std::vector<PendingTxn>>();
-  block->reserve(reqs.size());
-  const SimTime now = sim_->Now();
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    std::function<void(const TxnResult&)> done;
-    if (on_done) {
-      done = [on_done, i](const TxnResult& r) { on_done(i, r); };
-    }
-    block->push_back(PendingTxn{std::move(reqs[i]), now, std::move(done)});
-    InitPending(block->back());
-  }
-  txns_in_flight_ += static_cast<int64_t>(block->size());
-  for (size_t i = 0; i < block->size(); ++i) {
-    RouteAndRun(std::shared_ptr<PendingTxn>(block, &(*block)[i]));
-  }
 }
 
 void ClusterEngine::FinishShed(const std::shared_ptr<PendingTxn>& pending,

@@ -436,17 +436,6 @@ class ClusterEngine {
   void Submit(TxnRequest req,
               std::function<void(const TxnResult&)> on_done = nullptr);
 
-  /// Submits a batch of transactions arriving at the same virtual
-  /// instant. Equivalent to calling Submit(req) for each request in
-  /// order (identical routing, Rng draws, and completion sequence) but
-  /// amortizes allocation over the batch on the wall clock — the
-  /// client/engine boundary of a real system's group commit intake.
-  /// `on_done` (optional) fires per completed request with its index
-  /// into `reqs`.
-  void SubmitBatch(
-      std::vector<TxnRequest> reqs,
-      std::function<void(size_t, const TxnResult&)> on_done = nullptr);
-
   // --- Metrics ---------------------------------------------------------
 
   /// Attaches observability sinks ("cluster.*" metrics: per-node txn
@@ -521,10 +510,6 @@ class ClusterEngine {
     BucketId bucket = 0;    ///< KeyToBucket(req.key), hashed once.
     int64_t trace = -1;     ///< TxnTraceRecorder handle; -1 = unsampled.
   };
-
-  /// Stamps the txn id, resolved priority, cached bucket, and deadline
-  /// (shared by Submit and SubmitBatch; ids follow call order).
-  void InitPending(PendingTxn& pending);
 
   SimDuration DrawServiceTime(double weight);
   void RecordCompletion(SimTime arrival, SimTime finished);

@@ -61,7 +61,8 @@ std::string TimeseriesExporter::ToCsv() const {
           [](const auto& kv, const std::string& n) { return kv.first < n; });
       const double v =
           (it != s.values.end() && it->first == name) ? it->second : 0.0;
-      out += "," + FormatMetricValue(v);
+      out += ',';
+      out += FormatMetricValue(v);
     }
     out += '\n';
   }

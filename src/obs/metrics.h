@@ -18,34 +18,16 @@
 /// seeded-Rng derived, so two runs from the same seed produce
 /// byte-identical dumps — the same determinism contract as the fault
 /// layer's EventTrace.
-///
-/// When the layer is compiled disarmed (-DPSTORE_OBS=OFF, which defines
-/// PSTORE_OBS_ENABLED=0), every recording call is an inline no-op and
-/// dumps are empty, so instrumented hot paths cost nothing and bench
-/// output is bit-identical to an uninstrumented build.
-
-#ifndef PSTORE_OBS_ENABLED
-#define PSTORE_OBS_ENABLED 1
-#endif
 
 namespace pstore {
 namespace obs {
 
-/// True when the observability layer is compiled armed.
-constexpr bool Enabled() { return PSTORE_OBS_ENABLED != 0; }
-
 /// \brief Monotone int64 counter.
 class Counter {
  public:
-#if PSTORE_OBS_ENABLED
   void Increment() { ++value_; }
   void Add(int64_t delta) { value_ += delta; }
   int64_t value() const { return value_; }
-#else
-  void Increment() {}
-  void Add(int64_t) {}
-  int64_t value() const { return 0; }
-#endif
 
  private:
   int64_t value_ = 0;
@@ -55,15 +37,9 @@ class Counter {
 /// that are naturally fractional, e.g. kB moved).
 class Gauge {
  public:
-#if PSTORE_OBS_ENABLED
   void Set(double v) { value_ = v; }
   void Add(double delta) { value_ += delta; }
   double value() const { return value_; }
-#else
-  void Set(double) {}
-  void Add(double) {}
-  double value() const { return 0; }
-#endif
 
  private:
   double value_ = 0;
@@ -73,15 +49,10 @@ class Gauge {
 /// (log-bucketed, ~2% relative error — fine for latency in us).
 class HistogramMetric {
  public:
-#if PSTORE_OBS_ENABLED
   void Record(int64_t value) { histogram_.Record(value); }
   void MergeFrom(const HistogramMetric& other) {
     histogram_.Merge(other.histogram_);
   }
-#else
-  void Record(int64_t) {}
-  void MergeFrom(const HistogramMetric&) {}
-#endif
   const Histogram& histogram() const { return histogram_; }
 
  private:
@@ -119,7 +90,7 @@ class MetricsRegistry {
   /// their (now unreported) cells, which is fine — disarmed runs do not
   /// report.
   void set_armed(bool armed) { armed_ = armed; }
-  bool armed() const { return armed_ && Enabled(); }
+  bool armed() const { return armed_; }
 
   /// Sorted snapshot of every counter/gauge value (callback gauges
   /// included), as (name, value) pairs — the exporter's raw material.

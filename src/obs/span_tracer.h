@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
-#include "obs/metrics.h"  // for PSTORE_OBS_ENABLED / Enabled()
+#include "obs/metrics.h"
 
 /// \file span_tracer.h
 /// Nested begin/end span tracing stamped on the simulator's virtual

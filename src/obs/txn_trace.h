@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "obs/metrics.h"  // for PSTORE_OBS_ENABLED / Enabled()
+#include "obs/metrics.h"
 
 /// \file txn_trace.h
 /// End-to-end transaction lifecycle tracing. A sampled transaction
@@ -106,7 +106,7 @@ class TxnTraceRecorder {
   }
 
   /// True when tracing can record anything at all.
-  bool enabled() const { return Enabled() && config_.sample_rate > 0.0; }
+  bool enabled() const { return config_.sample_rate > 0.0; }
 
   /// Rolls the sampling dice for one submitted transaction. Returns a
   /// trace handle (>= 0) if sampled — the kSubmitted event is recorded

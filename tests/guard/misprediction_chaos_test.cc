@@ -1,192 +1,147 @@
 #include <cmath>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "../test_util.h"
+#include "../chaos/chaos_harness.h"
 #include "core/predictive_controller.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
-#include "fault/invariant_checker.h"
-#include "migration/migration_executor.h"
 #include "prediction/spar.h"
-#include "sim/simulator.h"
 
 /// \file misprediction_chaos_test.cc
-/// 50-seed misprediction chaos sweep (DESIGN.md §16), sharded five
-/// seeds per ctest unit. Each seed drives a SPAR-fed
-/// PredictiveController with the forecast-divergence guard enabled
-/// through a random control-plane fault mix — flash crowds the
+/// 50-seed misprediction chaos sweep (DESIGN.md §16). Each seed drives a
+/// SPAR-fed PredictiveController with the forecast-divergence guard
+/// enabled through a random control-plane fault mix — flash crowds the
 /// forecast cannot see, trace dropouts that starve the controller of
-/// fresh telemetry, plus crashes, restarts and migration faults — with
-/// the InvariantChecker auditing every virtual second. The hard lines:
-/// zero invariant violations (so no bucket is ever stranded or
-/// double-owned by an aborted plan), plan-repair bookkeeping that
+/// fresh telemetry, plus crashes, restarts and migration faults. The
+/// hard lines: zero invariant violations (so no bucket is ever stranded
+/// or double-owned by an aborted plan), plan-repair bookkeeping that
 /// reconciles exactly, and guard counters that obey their own algebra.
 
 namespace pstore {
 namespace {
 
-using testing_util::MakeKvDatabase;
+/// SPAR fitted on four minutes of seasonal history at 2 s slots; the
+/// sweep offers the same base load, so only the injected flash crowds
+/// (which the forecast never sees) cause divergence. Started once the
+/// plan is armed, with the injector's dropout windows as its probe.
+class GuardedController final : public chaos::ChaosPart {
+ public:
+  static std::unique_ptr<chaos::ChaosPart> Start(chaos::ChaosRig& rig) {
+    auto part = std::make_unique<GuardedController>(rig);
+    part->controller_.Start();
+    return part;
+  }
 
-struct SweepOutcome {
-  int64_t flash_crowds = 0;
-  int64_t trace_dropouts = 0;
-  int64_t crashes = 0;
-  int64_t divergences = 0;
-  int64_t rejoins = 0;
-  int64_t vetoes = 0;
-  int64_t plan_repairs = 0;
-  int64_t moves_truncated = 0;
-  int64_t moves_aborted = 0;
-  int64_t committed = 0;
-  int64_t checks = 0;
-  std::vector<InvariantViolation> violations;
+  explicit GuardedController(chaos::ChaosRig& rig)
+      : spar_(SparConfigFor()),
+        controller_(&rig.engine, &rig.migrator, &spar_, Config()) {
+    std::vector<double> history;
+    for (int32_t i = 0; i < 120; ++i) {
+      history.push_back(200.0 + 20.0 * std::sin(2.0 * M_PI * i / 30.0));
+    }
+    EXPECT_TRUE(spar_.Fit(history, Config().horizon_intervals).ok());
+    controller_.SeedHistory(std::move(history));
+    controller_.set_trace_dropout_probe(
+        [&injector = rig.injector]() {
+          return injector.trace_dropout_active();
+        });
+  }
+
+  void Stop() override { controller_.Stop(); }
+
+  void Collect(chaos::ChaosRun* run) const override {
+    run->counters["divergences"] = controller_.guard_monitor()->divergences();
+    run->counters["rejoins"] = controller_.guard_monitor()->rejoins();
+    run->counters["vetoes"] = controller_.guard_vetoes();
+    run->counters["plan_repairs"] = controller_.plan_repairs();
+  }
+
+ private:
+  static SparConfig SparConfigFor() {
+    SparConfig spar;
+    spar.period = 30;
+    spar.num_periods = 2;
+    spar.num_recent = 5;
+    return spar;
+  }
+
+  static ControllerConfig Config() {
+    ControllerConfig pc;
+    pc.move_model.q = 100.0;
+    pc.move_model.partitions_per_node = 2;
+    pc.move_model.d_minutes = 0.6;
+    pc.move_model.interval_minutes = 2.0 / 60.0;
+    pc.q_hat = 125.0;
+    pc.horizon_intervals = 8;
+    pc.prediction_inflation = 0.15;
+    pc.guard.enabled = true;
+    return pc;
+  }
+
+  SparPredictor spar_;
+  PredictiveController controller_;
 };
 
-SweepOutcome RunMispredictionChaos(uint64_t seed) {
-  testing_util::KvDatabase db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = testing_util::SmallEngineConfig();
-  config.initial_nodes = 3;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 500;  // Slow moves: repairs catch them mid-flight.
-  migration.wire_kbps = 50000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  // SPAR fitted on four minutes of seasonal history at 2 s slots; the
-  // generator below offers the same base load, so only the injected
-  // flash crowds (which the forecast never sees) cause divergence.
-  SparConfig spar_config;
-  spar_config.period = 30;
-  spar_config.num_periods = 2;
-  spar_config.num_recent = 5;
-  SparPredictor spar(spar_config);
-  std::vector<double> history;
-  for (int32_t i = 0; i < 120; ++i) {
-    history.push_back(200.0 + 20.0 * std::sin(2.0 * M_PI * i / 30.0));
-  }
-  ControllerConfig pc;
-  pc.move_model.q = 100.0;
-  pc.move_model.partitions_per_node = 2;
-  pc.move_model.d_minutes = 0.6;
-  pc.move_model.interval_minutes = 2.0 / 60.0;
-  pc.q_hat = 125.0;
-  pc.horizon_intervals = 8;
-  pc.prediction_inflation = 0.15;
-  pc.guard.enabled = true;
-  EXPECT_TRUE(spar.Fit(history, pc.horizon_intervals).ok());
-  PredictiveController controller(&engine, &migrator, &spar, pc);
-  controller.SeedHistory(std::move(history));
-
+chaos::ChaosSpec MispredictionSpec() {
+  chaos::ChaosSpec spec;
+  spec.engine = testing_util::SmallEngineConfig();
+  spec.engine.initial_nodes = 3;
+  spec.migration.rate_kbps = 500;  // Slow moves: repairs catch them mid-flight.
+  spec.migration.wire_kbps = 50000;
   // The control-plane faults dominate the mix, with crashes, restarts
   // and migration faults riding along so repairs race real failures.
-  ChaosConfig chaos;
-  chaos.horizon = 60 * kSecond;
-  chaos.num_events = 8;
-  chaos.max_window = 15 * kSecond;
-  chaos.max_stall = 2 * kSecond;
-  chaos.flash_crowd_weight = 3.0;
-  chaos.trace_dropout_weight = 2.0;
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  const FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-  controller.set_trace_dropout_probe(
-      [&injector]() { return injector.trace_dropout_active(); });
-  controller.Start();
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // Self-scheduling generator: 200 txn/s base, multiplied live by the
-  // injector's offered load scale so flash-crowd windows genuinely
-  // surge while the forecast path stays blind to them.
-  const double seconds = 60.0;
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&sim, &engine, &injector, &db, rows, seconds,
-               self = generate.get()](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest req;
-    req.proc = db.get;
-    req.key = (i * 48271) % rows;
-    engine.Submit(req);
-    const double rate = 200.0 * injector.offered_load_scale();
-    const auto gap = static_cast<SimDuration>(1e6 / rate);
-    sim.Schedule(gap < 1 ? 1 : gap, [self, i]() { (*self)(i + 1); });
+  spec.chaos.horizon = 60 * kSecond;
+  spec.chaos.num_events = 8;
+  spec.chaos.max_window = 15 * kSecond;
+  spec.chaos.max_stall = 2 * kSecond;
+  spec.chaos.flash_crowd_weight = 3.0;
+  spec.chaos.trace_dropout_weight = 2.0;
+  spec.after_arm = GuardedController::Start;
+  // 200 txn/s base, multiplied live by the injector's offered load
+  // scale so flash-crowd windows genuinely surge while the forecast
+  // path stays blind to them.
+  spec.rate = 200.0;
+  spec.follow_injected_load = true;
+  spec.settle_seconds = 20.0;
+  spec.collect = [](const chaos::ChaosRig& rig, chaos::ChaosRun* run) {
+    run->counters["flash_crowds"] = rig.injector.flash_crowds();
+    run->counters["trace_dropouts"] = rig.injector.trace_dropouts();
+    run->counters["crashes"] = rig.injector.crashes();
+    run->counters["moves_truncated"] = rig.migrator.moves_truncated();
+    run->counters["moves_aborted"] = rig.migrator.moves_aborted();
   };
-  sim.Schedule(0, [self = generate.get()]() { (*self)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 20));
-  (void)checker.Check();
-
-  SweepOutcome out;
-  out.flash_crowds = injector.flash_crowds();
-  out.trace_dropouts = injector.trace_dropouts();
-  out.crashes = injector.crashes();
-  out.divergences = controller.guard_monitor()->divergences();
-  out.rejoins = controller.guard_monitor()->rejoins();
-  out.vetoes = controller.guard_vetoes();
-  out.plan_repairs = controller.plan_repairs();
-  out.moves_truncated = migrator.moves_truncated();
-  out.moves_aborted = migrator.moves_aborted();
-  out.committed = engine.txns_committed();
-  out.checks = checker.checks_run();
-  out.violations = checker.violations();
-  return out;
-}
-
-constexpr uint64_t kSeedsPerShard = 5;
-
-class MispredictionSeedShard : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MispredictionSeedShard, GuardedControlSurvivesMispredictionChaos) {
-  const uint64_t first = GetParam();
-  for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const SweepOutcome out = RunMispredictionChaos(seed);
-    // The hard line: every audit clean — ownership single and live,
-    // no orphan rows, and the plan-repair section's proof that no
-    // bucket was stranded or double-owned by an aborted plan.
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violation(s); first: " << out.violations[0].ToString();
-    EXPECT_GT(out.checks, 0) << "seed " << seed;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
+  spec.check_seed = [](uint64_t seed, const chaos::ChaosRun& run) {
     // Repair bookkeeping reconciles: the controller's repairs are the
     // only source of truncation, and truncations abort.
-    EXPECT_EQ(out.plan_repairs, out.moves_truncated) << "seed " << seed;
-    EXPECT_LE(out.moves_truncated, out.moves_aborted) << "seed " << seed;
+    EXPECT_EQ(run.at("plan_repairs"), run.at("moves_truncated"))
+        << "seed " << seed;
+    EXPECT_LE(run.at("moves_truncated"), run.at("moves_aborted"))
+        << "seed " << seed;
     // Guard algebra: rejoins never outnumber divergences, and each
     // divergence vetoes at least the window that confirmed it.
-    EXPECT_LE(out.rejoins, out.divergences) << "seed " << seed;
-    EXPECT_GE(out.vetoes, out.divergences) << "seed " << seed;
+    EXPECT_LE(run.at("rejoins"), run.at("divergences")) << "seed " << seed;
+    EXPECT_GE(run.at("vetoes"), run.at("divergences")) << "seed " << seed;
     // With no flash crowd drawn, the forecast matches the offered load
     // and the guard must never fire (dropouts alone feed it stale but
     // *accurate* samples of the steady base).
-    if (out.flash_crowds == 0 && out.crashes == 0) {
-      EXPECT_EQ(out.divergences, 0) << "seed " << seed;
+    if (run.at("flash_crowds") == 0 && run.at("crashes") == 0) {
+      EXPECT_EQ(run.at("divergences"), 0) << "seed " << seed;
     }
-  }
+  };
+  // Flash crowds and dropouts fire, the guard diverges, vetoes and
+  // rejoins, and at least one repair truncates a move mid-flight.
+  spec.floors = {{{"flash_crowds"}, 10}, {{"trace_dropouts"}, 5},
+                 {{"divergences"}, 4},   {{"vetoes"}, 40},
+                 {{"rejoins"}, 0},       {{"plan_repairs"}, 0}};
+  return spec;
 }
 
-INSTANTIATE_TEST_SUITE_P(FiftySeeds, MispredictionSeedShard,
-                         ::testing::Range(uint64_t{1}, uint64_t{51},
-                                          kSeedsPerShard));
+PSTORE_CHAOS_SWEEP(MispredictionSpec, MispredictionSeedShard,
+                   GuardedControlSurvivesMispredictionChaos,
+                   MispredictionChaosTest, SweepExercisesGuardMachinery,
+                   SameSeedReplaysIdentically, DifferentSeedsDiverge)
 
 }  // namespace
 }  // namespace pstore

@@ -2,239 +2,114 @@
 
 #include <functional>
 #include <memory>
-#include <string>
-#include <vector>
+#include <utility>
 
-#include "../test_util.h"
-#include "core/reactive_controller.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
+#include "../chaos/chaos_harness.h"
 #include "overload/retry_budget.h"
 
-/// Chaos property tests for the overload-control stack: node crashes
-/// and load spikes against a cluster running bounded queues, deadline
-/// shedding, priority eviction, per-node breakers, breaker-aware
-/// reactive scaling, and a client retry budget. Every seed must keep
-/// every invariant (including shed conservation), and same-seed runs
-/// must replay byte-identically.
+/// Chaos sweep for the overload-control stack: node crashes and load
+/// spikes against a cluster running bounded queues, deadline shedding,
+/// priority eviction, per-node breakers, breaker-aware reactive scaling,
+/// and a client retry budget. Every seed must keep every invariant
+/// (including shed conservation).
 
 namespace pstore {
 namespace {
 
-using testing_util::MakeKvDatabase;
-using testing_util::SmallEngineConfig;
+/// The client side: sheds re-enter through a token-bucket retry budget
+/// with jittered backoff on a dedicated Rng stream.
+class RetryingClient final : public chaos::ChaosPart {
+ public:
+  explicit RetryingClient(chaos::ChaosRig& rig)
+      : sim_(rig.sim),
+        engine_(rig.engine),
+        budget_(policy_),
+        rng_(rig.seed ^ 0x94d049bb133111ebULL) {
+    rig.submit = [this](TxnRequest req) { Submit(std::move(req), 0); };
+  }
 
-struct OverloadOutcome {
-  std::string plan;
-  std::string trace;
-  uint64_t trace_fingerprint = 0;
-  std::vector<std::string> violations;
-  int64_t events_executed = 0;
-  int64_t committed = 0;
-  int64_t shed = 0;
-  int64_t breaker_trips = 0;
-  int64_t load_spikes = 0;
-  int64_t crashes = 0;
-  int64_t scale_outs = 0;
-  int64_t retries = 0;
+  void Collect(chaos::ChaosRun* run) const override {
+    run->counters["retries"] = retries_;
+  }
+
+ private:
+  void Submit(TxnRequest req, int32_t attempt) {
+    if (attempt == 0) budget_.OnRequest();
+    TxnRequest copy = req;
+    engine_.Submit(std::move(req), [this, copy = std::move(copy),
+                                    attempt](const TxnResult& result) mutable {
+      if (!result.shed) return;
+      if (attempt + 1 >= policy_.max_attempts) return;
+      if (!budget_.TrySpend()) return;
+      ++retries_;
+      sim_.Schedule(budget_.Backoff(attempt + 1, &rng_),
+                    [this, copy = std::move(copy), attempt]() mutable {
+                      Submit(std::move(copy), attempt + 1);
+                    });
+    });
+  }
+
+  Simulator& sim_;
+  ClusterEngine& engine_;
+  overload::RetryPolicy policy_;
+  overload::RetryBudget budget_;
+  Rng rng_;
+  int64_t retries_ = 0;
 };
 
-/// One seeded overload-chaos run: 3 nodes saturating at ~300 txn/s, a
-/// 100 txn/s base load amplified live by kLoadSpike windows (2x-8x),
-/// crash/restart faults in the same plan, and shed-aware retries.
-OverloadOutcome RunOverloadChaos(uint64_t seed) {
-  auto db = MakeKvDatabase();
-  Simulator sim;
-  EngineConfig config = SmallEngineConfig();
-  config.initial_nodes = 3;
-  config.txn_service_us_mean = 20000.0;  // ~50 txn/s per partition
-  config.overload.enabled = true;
-  config.overload.max_queue_depth = 16;
-  config.overload.queue_deadline = 200 * kMillisecond;
-  config.overload.policy = overload::AdmissionPolicy::kPriorityShed;
-  config.overload.breaker.window = kSecond;
-  config.overload.breaker.shed_threshold = 0.2;
-  config.overload.breaker.min_samples = 20;
-  config.overload.breaker.cooldown = 3 * kSecond;
-  ClusterEngine engine(&sim, db.catalog, db.registry, config);
-  const int64_t rows = 200;
-  for (int64_t k = 0; k < rows; ++k) {
-    EXPECT_TRUE(engine.LoadRow(db.table, Row({Value(k), Value(k)})).ok());
-  }
-
-  MigrationOptions migration;
-  migration.chunk_kb = 100;
-  migration.rate_kbps = 10000;
-  migration.wire_kbps = 100000;
-  migration.db_size_mb = 10;
-  MigrationExecutor migrator(&engine, migration);
-
-  ReactiveConfig reactive;
-  reactive.q = 100.0;
-  reactive.q_hat = 125.0;
-  reactive.high_watermark = 0.9;
-  reactive.headroom = 0.10;
-  reactive.monitor_period = kSecond;
-  reactive.scale_in_hold = 5 * kSecond;
-  ReactiveController controller(&engine, &migrator, reactive);
-  controller.set_overload(engine.admission());
-  controller.Start();
-
-  Rng plan_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-  ChaosConfig chaos;
-  chaos.horizon = 40 * kSecond;
-  chaos.num_events = 6;
-  chaos.max_window = 10 * kSecond;
-  chaos.max_stall = 2 * kSecond;
+/// 3 nodes saturating at ~300 txn/s, a 100 txn/s base load amplified
+/// live by kLoadSpike windows (2x-8x), crash/restart faults in the same
+/// plan, and shed-aware retries.
+chaos::ChaosSpec OverloadSpec() {
+  chaos::ChaosSpec spec;
+  spec.engine = testing_util::SmallEngineConfig();
+  spec.engine.initial_nodes = 3;
+  spec.engine.txn_service_us_mean = 20000.0;  // ~50 txn/s per partition
+  spec.engine.overload.enabled = true;
+  spec.engine.overload.max_queue_depth = 16;
+  spec.engine.overload.queue_deadline = 200 * kMillisecond;
+  spec.engine.overload.policy = overload::AdmissionPolicy::kPriorityShed;
+  spec.engine.overload.breaker.window = kSecond;
+  spec.engine.overload.breaker.shed_threshold = 0.2;
+  spec.engine.overload.breaker.min_samples = 20;
+  spec.engine.overload.breaker.cooldown = 3 * kSecond;
+  spec.reactive = chaos::StandardReactive();
+  spec.reactive->headroom = 0.10;
+  spec.chaos.horizon = 40 * kSecond;
+  spec.chaos.num_events = 6;
+  spec.chaos.max_window = 10 * kSecond;
+  spec.chaos.max_stall = 2 * kSecond;
   // Crashes and load spikes dominate the mix: this suite is about
   // overload behaviour under failures, not migration faults.
-  chaos.crash_weight = 2.0;
-  chaos.restart_weight = 1.0;
-  chaos.stall_weight = 0.5;
-  chaos.chunk_failure_weight = 0.5;
-  chaos.misforecast_weight = 0.5;
-  chaos.load_spike_weight = 3.0;
-  FaultPlan plan = RandomFaultPlan(&plan_rng, chaos);
-  FaultInjector injector(&engine, &migrator, seed);
-  EXPECT_TRUE(injector.Arm(plan).ok());
-
-  InvariantChecker checker(&engine, &migrator);
-  checker.set_expected_rows(rows);
-  checker.StartPeriodic(kSecond);
-
-  // Base 100 txn/s, amplified live by open load-spike windows; sheds
-  // re-enter through a token-bucket retry budget with jittered backoff
-  // on a dedicated Rng stream.
-  overload::RetryPolicy retry_policy;
-  overload::RetryBudget retry_budget(retry_policy);
-  Rng retry_rng(seed ^ 0x94d049bb133111ebULL);
-  int64_t retries = 0;
-  const double seconds = 60.0;
-  auto resubmit =
-      std::make_shared<std::function<void(TxnRequest, int32_t)>>();
-  *resubmit = [&](TxnRequest req, int32_t attempt) {
-    if (attempt == 0) retry_budget.OnRequest();
-    TxnRequest copy = req;
-    engine.Submit(std::move(req), [&, copy = std::move(copy),
-                                   attempt](const TxnResult& result) mutable {
-      if (!result.shed) return;
-      if (attempt + 1 >= retry_policy.max_attempts) return;
-      if (!retry_budget.TrySpend()) return;
-      ++retries;
-      sim.Schedule(retry_budget.Backoff(attempt + 1, &retry_rng),
-                   [&, copy = std::move(copy), attempt]() mutable {
-                     (*resubmit)(std::move(copy), attempt + 1);
-                   });
-    });
+  spec.chaos.crash_weight = 2.0;
+  spec.chaos.restart_weight = 1.0;
+  spec.chaos.stall_weight = 0.5;
+  spec.chaos.chunk_failure_weight = 0.5;
+  spec.chaos.misforecast_weight = 0.5;
+  spec.chaos.load_spike_weight = 3.0;
+  spec.follow_injected_load = true;
+  spec.settle_seconds = 30.0;
+  spec.before_load = [](chaos::ChaosRig& rig) {
+    return std::make_unique<RetryingClient>(rig);
   };
-  auto generate = std::make_shared<std::function<void(int64_t)>>();
-  *generate = [&](int64_t i) {
-    if (sim.Now() >= SecondsToDuration(seconds)) return;
-    TxnRequest get;
-    get.proc = db.get;
-    get.key = (i * 48271) % rows;
-    (*resubmit)(std::move(get), 0);
-    const double rate = 100.0 * injector.load_scale();
-    const auto gap = static_cast<SimDuration>(1e6 / rate);
-    sim.Schedule(gap < 1 ? 1 : gap, [&, i]() { (*generate)(i + 1); });
+  spec.collect = [](const chaos::ChaosRig& rig, chaos::ChaosRun* run) {
+    run->counters["shed"] = rig.engine.txns_shed();
+    run->counters["breaker_trips"] = rig.engine.admission()->total_trips();
+    run->counters["load_spikes"] = rig.injector.load_spikes();
+    run->counters["crashes"] = rig.injector.crashes();
   };
-  sim.Schedule(0, [&]() { (*generate)(0); });
-
-  sim.RunUntil(SecondsToDuration(seconds));
-  checker.Stop();
-  controller.Stop();
-  sim.RunUntil(SecondsToDuration(seconds + 30));
-
-  Status final_check = checker.Check();
-  EXPECT_TRUE(final_check.ok()) << final_check.ToString();
-
-  OverloadOutcome out;
-  out.plan = plan.ToString();
-  out.trace = injector.trace().ToString();
-  out.trace_fingerprint = injector.trace().Fingerprint();
-  for (const InvariantViolation& v : checker.violations()) {
-    out.violations.push_back(v.ToString());
-  }
-  out.events_executed = sim.events_executed();
-  out.committed = engine.txns_committed();
-  out.shed = engine.txns_shed();
-  out.breaker_trips = engine.admission()->total_trips();
-  out.load_spikes = injector.load_spikes();
-  out.crashes = injector.crashes();
-  out.scale_outs = controller.scale_outs();
-  out.retries = retries;
-  return out;
+  // Spikes fire, queues shed, breakers trip, retries spend budget, and
+  // the breaker-aware controller scales out as its safety net.
+  spec.floors = {{{"load_spikes"}, 4}, {{"crashes"}, 2},
+                 {{"shed"}, 200},      {{"breaker_trips"}, 2},
+                 {{"retries"}, 20},    {{"scale_outs"}, 2}};
+  return spec;
 }
 
-// The 50-seed sweep is sharded 5 seeds per ctest unit so `ctest -j`
-// runs shards concurrently (and a failure names a 5-seed range, not a
-// 50-seed monolith). The shard parameter is the first seed.
-constexpr uint64_t kSeedsPerShard = 5;
-
-class OverloadSeedShard : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(OverloadSeedShard, ZeroViolationsWithActiveOverload) {
-  const uint64_t first = GetParam();
-  for (uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    const OverloadOutcome out = RunOverloadChaos(seed);
-    EXPECT_TRUE(out.violations.empty())
-        << "seed " << seed << ": " << out.violations.size()
-        << " violations; first: " << out.violations[0] << "\nplan:\n"
-        << out.plan << "\ntrace:\n"
-        << out.trace;
-    EXPECT_GT(out.committed, 0) << "seed " << seed;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(FiftySeeds, OverloadSeedShard,
-                         ::testing::Range(uint64_t{1}, uint64_t{51},
-                                          kSeedsPerShard));
-
-TEST(OverloadChaosTest, SweepExercisesOverloadMachinery) {
-  // Scaled-down aggregate over the first ten seeds: spikes fire, queues
-  // shed, breakers trip, retries spend budget, and the breaker-aware
-  // controller scales out as its safety net. (The per-seed invariants
-  // live in the shards.)
-  int64_t total_trips = 0, total_spikes = 0, total_crashes = 0;
-  int64_t total_shed = 0, total_scale_outs = 0, total_retries = 0;
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const OverloadOutcome out = RunOverloadChaos(seed);
-    total_trips += out.breaker_trips;
-    total_spikes += out.load_spikes;
-    total_crashes += out.crashes;
-    total_shed += out.shed;
-    total_scale_outs += out.scale_outs;
-    total_retries += out.retries;
-  }
-  EXPECT_GT(total_spikes, 4);
-  EXPECT_GT(total_crashes, 2);
-  EXPECT_GT(total_shed, 200);
-  EXPECT_GT(total_trips, 2);
-  EXPECT_GT(total_retries, 20);
-  EXPECT_GT(total_scale_outs, 2);
-}
-
-TEST(OverloadChaosTest, SameSeedReplaysIdentically) {
-  const OverloadOutcome a = RunOverloadChaos(42);
-  const OverloadOutcome b = RunOverloadChaos(42);
-  EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.scale_outs, b.scale_outs);
-  EXPECT_TRUE(a.violations.empty());
-}
-
-TEST(OverloadChaosTest, DifferentSeedsDiverge) {
-  const OverloadOutcome a = RunOverloadChaos(3);
-  const OverloadOutcome b = RunOverloadChaos(4);
-  EXPECT_NE(a.plan, b.plan);
-  EXPECT_NE(a.trace_fingerprint, b.trace_fingerprint);
-}
+PSTORE_CHAOS_SWEEP(OverloadSpec, OverloadSeedShard,
+                   ZeroViolationsWithActiveOverload, OverloadChaosTest,
+                   SweepExercisesOverloadMachinery, SameSeedReplaysIdentically,
+                   DifferentSeedsDiverge)
 
 }  // namespace
 }  // namespace pstore

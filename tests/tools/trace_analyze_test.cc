@@ -43,7 +43,6 @@ void AddTxn(TxnTraceRecorder* recorder, int64_t id, SimTime t0) {
 }
 
 TEST(TraceAnalyzeTest, RoundTripAttributionSumsToLatency) {
-  if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";
   TxnTraceRecorder recorder = MakeRecorder();
   AddTxn(&recorder, 1, 0);
   AddTxn(&recorder, 2, 1000);
@@ -65,9 +64,13 @@ TEST(TraceAnalyzeTest, RoundTripAttributionSumsToLatency) {
   for (const PhaseStat& p : analysis->attribution) total += p.total_us;
   EXPECT_EQ(total, 210 + 210 + 610);
   for (const PhaseStat& p : analysis->attribution) {
-    if (p.phase == "admission") EXPECT_EQ(p.total_us, 30);
-    if (p.phase == "queued") EXPECT_EQ(p.total_us, 700);
-    if (p.phase == "executing") EXPECT_EQ(p.total_us, 300);
+    if (p.phase == "admission") {
+      EXPECT_EQ(p.total_us, 30);
+    } else if (p.phase == "queued") {
+      EXPECT_EQ(p.total_us, 700);
+    } else if (p.phase == "executing") {
+      EXPECT_EQ(p.total_us, 300);
+    }
     EXPECT_EQ(p.count, 3);
   }
   // Attribution is sorted by total: queued dominates.
@@ -93,7 +96,6 @@ TEST(TraceAnalyzeTest, RoundTripAttributionSumsToLatency) {
 }
 
 TEST(TraceAnalyzeTest, MigrationCriticalPathFromSpans) {
-  if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";
   SpanTracer tracer;
   const auto move = tracer.BeginAt("migration.move 2->3", 1000);
   const auto r0 = tracer.BeginAt("migration.round 0", 1100);

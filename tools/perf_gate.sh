@@ -1,17 +1,21 @@
 #!/bin/sh
-# Perf regression gate (DESIGN.md §12): run the microbenchmark suite,
-# then diff its JSON output against the committed baseline trajectory.
-# A second stage runs bench_recovery_mttr and gates its deterministic
-# virtual-clock MTTR grid (unit "s") against its own committed
-# trajectory — so recovery-path regressions (slower replay planning,
-# scrubbing overhead) trip the gate the same way hot-path ns/op
-# regressions do. A third stage runs bench_partition_availability and
-# gates both its outage grid (unit "s": dark/recovery seconds per
-# partition x lease cell) and its latency percentiles (unit "us") the
-# same deterministic way. A fourth stage runs bench_overload_degradation
-# and gates its goodput grid (unit "us/txn": inverse goodput, so a
-# goodput collapse raises the value) plus its p99 grid (unit "ms").
-# Exits non-zero when any tracked case regresses past the threshold or
+# Perf regression gate (DESIGN.md §12): run each gated bench, then diff
+# its JSON output against its committed baseline trajectory with
+# bench_compare, once per gated unit. The gated benches are one table
+# below:
+#   bench_micro_perf              hot-path ns/op, normalized by the
+#                                 median ratio so a uniformly slower
+#                                 machine cannot fail the gate
+#   bench_recovery_mttr           MTTR grid (s)
+#   bench_partition_availability  outage grid (s) + latency percentiles (us)
+#   bench_overload_degradation    inverse goodput (us/txn; a goodput drop
+#                                 raises it) + p99 (ms)
+# The last three run on the virtual clock, so they are compared exactly
+# (--no-normalize): any drift is a real behavior change. Their baselines
+# were recorded with the bench arguments in the table.
+#
+# Exit codes: 2 for a missing binary or baseline; 1 when a bench fails,
+# writes no JSON, or any tracked case regresses past the threshold or
 # vanishes from the suite.
 #
 # Environment overrides (defaults assume running from the repo root
@@ -47,102 +51,51 @@ BASELINE_OVERLOAD="${BASELINE_OVERLOAD:-bench/baselines/BENCH_overload_degradati
 CURRENT_OVERLOAD="${CURRENT_OVERLOAD:-bench_out/BENCH_overload_degradation.json}"
 THRESHOLD="${THRESHOLD:-0.5}"
 
-for f in "$BENCH_MICRO_PERF" "$BENCH_RECOVERY_MTTR" \
-    "$BENCH_PARTITION_AVAILABILITY" "$BENCH_OVERLOAD_DEGRADATION" \
-    "$BENCH_COMPARE"; do
-  if [ ! -x "$f" ]; then
-    echo "perf_gate: missing binary $f (build first)" >&2
+# binary|bench args|baseline|current JSON|gated units|normalize
+STAGES="\
+$BENCH_MICRO_PERF|--benchmark_min_time=0.05|$BASELINE|$CURRENT|ns/op|yes
+$BENCH_RECOVERY_MTTR|--seconds=30|$BASELINE_RECOVERY|$CURRENT_RECOVERY|s|no
+$BENCH_PARTITION_AVAILABILITY||$BASELINE_PARTITION|$CURRENT_PARTITION|s us|no
+$BENCH_OVERLOAD_DEGRADATION|--seconds=10|$BASELINE_OVERLOAD|$CURRENT_OVERLOAD|us/txn ms|no"
+
+while IFS='|' read -r bin args baseline current units normalize; do
+  for f in "$bin" "$BENCH_COMPARE"; do
+    if [ ! -x "$f" ]; then
+      echo "perf_gate: missing binary $f (build first)" >&2
+      exit 2
+    fi
+  done
+  if [ ! -f "$baseline" ]; then
+    echo "perf_gate: missing baseline $baseline" >&2
     exit 2
   fi
-done
-for f in "$BASELINE" "$BASELINE_RECOVERY" "$BASELINE_PARTITION" \
-    "$BASELINE_OVERLOAD"; do
-  if [ ! -f "$f" ]; then
-    echo "perf_gate: missing baseline $f" >&2
-    exit 2
-  fi
-done
+done <<EOF
+$STAGES
+EOF
 
 status=0
-
-rm -f "$CURRENT"
-if ! "$BENCH_MICRO_PERF" --benchmark_min_time=0.05; then
-  echo "perf_gate: bench_micro_perf exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT" ]; then
-  echo "perf_gate: bench_micro_perf wrote no JSON at $CURRENT" >&2
-  exit 1
-fi
-if ! "$BENCH_COMPARE" --baseline="$BASELINE" --current="$CURRENT" \
-    --threshold="$THRESHOLD"; then
-  status=1
-fi
-
-rm -f "$CURRENT_RECOVERY"
-if ! "$BENCH_RECOVERY_MTTR" --seconds=30; then
-  echo "perf_gate: bench_recovery_mttr exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT_RECOVERY" ]; then
-  echo "perf_gate: bench_recovery_mttr wrote no JSON at $CURRENT_RECOVERY" >&2
-  exit 1
-fi
-# The MTTR grid is virtual-clock deterministic (same seed, same clock),
-# so no median normalization: any drift is a real behavior change.
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_RECOVERY" \
-    --current="$CURRENT_RECOVERY" --threshold="$THRESHOLD" \
-    --unit=s --no-normalize; then
-  status=1
-fi
-
-rm -f "$CURRENT_PARTITION"
-if ! "$BENCH_PARTITION_AVAILABILITY"; then
-  echo "perf_gate: bench_partition_availability exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT_PARTITION" ]; then
-  echo "perf_gate: bench_partition_availability wrote no JSON at" \
-       "$CURRENT_PARTITION" >&2
-  exit 1
-fi
-# Also virtual-clock deterministic; the grid records two units — outage
-# seconds per cell and the nominal cell's latency percentiles — so the
-# gate compares each unit separately.
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_PARTITION" \
-    --current="$CURRENT_PARTITION" --threshold="$THRESHOLD" \
-    --unit=s --no-normalize; then
-  status=1
-fi
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_PARTITION" \
-    --current="$CURRENT_PARTITION" --threshold="$THRESHOLD" \
-    --unit=us --no-normalize; then
-  status=1
-fi
-
-rm -f "$CURRENT_OVERLOAD"
-if ! "$BENCH_OVERLOAD_DEGRADATION" --seconds=10; then
-  echo "perf_gate: bench_overload_degradation exited non-zero" >&2
-  exit 1
-fi
-if [ ! -f "$CURRENT_OVERLOAD" ]; then
-  echo "perf_gate: bench_overload_degradation wrote no JSON at" \
-       "$CURRENT_OVERLOAD" >&2
-  exit 1
-fi
-# Virtual-clock deterministic like the MTTR grid. Goodput is tracked as
-# us per good transaction (a goodput drop raises the value), p99 in ms;
-# both gated exactly, no machine-speed normalization. The baseline was
-# recorded with --seconds=10, matching the invocation above.
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_OVERLOAD" \
-    --current="$CURRENT_OVERLOAD" --threshold="$THRESHOLD" \
-    --unit=us/txn --no-normalize; then
-  status=1
-fi
-if ! "$BENCH_COMPARE" --baseline="$BASELINE_OVERLOAD" \
-    --current="$CURRENT_OVERLOAD" --threshold="$THRESHOLD" \
-    --unit=ms --no-normalize; then
-  status=1
-fi
+while IFS='|' read -r bin args baseline current units normalize; do
+  name=$(basename "$bin")
+  rm -f "$current"
+  # $args is empty or one flag, so it is deliberately left unquoted.
+  if ! "$bin" $args </dev/null; then
+    echo "perf_gate: $name exited non-zero" >&2
+    exit 1
+  fi
+  if [ ! -f "$current" ]; then
+    echo "perf_gate: $name wrote no JSON at $current" >&2
+    exit 1
+  fi
+  for unit in $units; do
+    set -- --baseline="$baseline" --current="$current" \
+        --threshold="$THRESHOLD" --unit="$unit"
+    [ "$normalize" = yes ] || set -- "$@" --no-normalize
+    if ! "$BENCH_COMPARE" "$@" </dev/null; then
+      status=1
+    fi
+  done
+done <<EOF
+$STAGES
+EOF
 
 exit "$status"
