@@ -1,18 +1,26 @@
 /// Micro-benchmarks (google-benchmark) for the hot components: the DP
 /// planner (runs every control interval online), SPAR fit/predict/refit,
 /// the migration schedule generator, partition-map assignment and
-/// rebalancing, and the engine's transaction path on the virtual clock.
+/// rebalancing, row storage, and the engine's transaction path on the
+/// virtual clock.
 ///
 /// Unlike the figure harnesses, this binary measures *wall-clock* cost,
 /// so its output feeds the regression gate: a custom reporter collects
-/// every case into bench_out/BENCH_micro_perf.json (schema in
-/// bench_util.h) and tools/bench_compare diffs that against the
-/// committed baseline in bench/baselines/.
+/// one case per benchmark into bench_out/BENCH_micro_perf.json (schema
+/// in bench_util.h; with --benchmark_repetitions=N the case carries the
+/// median) and tools/bench_compare diffs that against the committed
+/// baseline in bench/baselines/.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
@@ -25,9 +33,11 @@
 #include "planner/dp_planner.h"
 #include "prediction/spar.h"
 #include "sim/simulator.h"
+#include "storage/fragment.h"
 #include "storage/partition_map.h"
 #include "storage/schema.h"
 #include "txn/procedure.h"
+#include "workload/b2w_schema.h"
 
 namespace pstore {
 namespace {
@@ -163,6 +173,99 @@ void BM_PartitionMapAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionMapAssign);
 
+// One partition's storage holding about the elastic_spike end-of-run
+// row count (~300k) in the B2W table mix, with rows shaped like the B2W
+// preload: carts with 1-4 encoded lines, checkouts, stock, and stock
+// transactions. Built once per process; the cases share it.
+struct B2wFragmentFixture {
+  static constexpr int64_t kCarts = 120000;
+  static constexpr int64_t kCheckouts = 80000;
+  static constexpr int64_t kStock = 20000;
+  static constexpr int64_t kStockTxns = 80000;
+
+  Catalog catalog;
+  std::unique_ptr<StorageFragment> fragment;
+  /// (table, key) of every loaded row, in load order.
+  std::vector<std::pair<TableId, int64_t>> rows;
+  /// One row per table whose key column the cases overwrite.
+  std::vector<Row> templates;
+
+  static B2wFragmentFixture& Get() {
+    static B2wFragmentFixture* fixture = new B2wFragmentFixture();
+    return *fixture;
+  }
+
+ private:
+  B2wFragmentFixture() {
+    const B2wTables tables = *RegisterB2wTables(&catalog);
+    fragment = std::make_unique<StorageFragment>(&catalog, 1024);
+    templates.resize(catalog.num_tables());
+    Rng rng(11);
+    auto load = [&](TableId table, int64_t count, auto make_row) {
+      for (int64_t i = 0; i < count; ++i) {
+        const auto key = static_cast<int64_t>(rng.Next() >> 1);
+        Row row = make_row(key);
+        if (!fragment->Insert(table, row).ok()) continue;  // Key reused.
+        rows.emplace_back(table, key);
+        templates[static_cast<size_t>(table)] = std::move(row);
+      }
+    };
+    load(tables.cart, kCarts, [&](int64_t key) {
+      std::vector<LineItem> lines;
+      const int64_t n = rng.NextInt(1, 4);
+      for (int64_t j = 0; j < n; ++j) {
+        lines.push_back(LineItem{rng.NextInt(1, 1 << 30), rng.NextInt(1, 3),
+                                 5.0 + rng.NextDouble() * 200.0});
+      }
+      return Row({Value(key), Value(rng.NextInt(1, 1 << 30)), Value("ACTIVE"),
+                  Value(LinesTotal(lines)), Value(EncodeLines(lines))});
+    });
+    load(tables.checkout, kCheckouts, [&](int64_t key) {
+      return Row({Value(key), Value(rng.NextInt(1, 1 << 30)), Value("OPEN"),
+                  Value(50.0 + rng.NextDouble() * 300.0), Value("CC"),
+                  Value(EncodeLines({LineItem{rng.NextInt(1, 1 << 30), 1,
+                                              25.0}}))});
+    });
+    load(tables.stock, kStock, [&](int64_t key) {
+      return Row({Value(key), Value(rng.NextInt(100, 100000)),
+                  Value(int64_t{0}), Value(int64_t{0})});
+    });
+    load(tables.stock_transaction, kStockTxns, [&](int64_t key) {
+      return Row({Value(key), Value(rng.NextInt(1, 1 << 30)),
+                  Value(rng.NextInt(1, 1 << 30)), Value(rng.NextInt(1, 3)),
+                  Value("RESERVED")});
+    });
+  }
+};
+
+// Point read of a random loaded row: the first storage call of most
+// B2W procedures.
+void BM_FragmentGet(benchmark::State& state) {
+  B2wFragmentFixture& fx = B2wFragmentFixture::Get();
+  Rng rng(3);
+  for (auto _ : state) {
+    const auto& [table, key] = fx.rows[rng.NextBounded(fx.rows.size())];
+    benchmark::DoNotOptimize(fx.fragment->Get(table, key));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FragmentGet);
+
+// Replacement of a random loaded row by a same-shaped row: the write
+// half of the read-modify-write B2W procedures.
+void BM_FragmentUpsert(benchmark::State& state) {
+  B2wFragmentFixture& fx = B2wFragmentFixture::Get();
+  Rng rng(5);
+  for (auto _ : state) {
+    const auto& [table, key] = fx.rows[rng.NextBounded(fx.rows.size())];
+    Row& row = fx.templates[static_cast<size_t>(table)];
+    row.Set(0, Value(key));
+    benchmark::DoNotOptimize(fx.fragment->Upsert(table, row));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FragmentUpsert);
+
 struct EngineFixture {
   Simulator sim;
   ProcedureId put{};
@@ -266,21 +369,36 @@ void BM_ObsSamplingOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsSamplingOverhead)->Arg(0)->Arg(100);
 
-/// Console output as usual, plus every per-iteration run collected as a
-/// BenchCaseResult for the JSON result file the regression gate reads.
+/// Console output as usual, plus one BenchCaseResult per benchmark for
+/// the JSON result file the regression gate reads. With
+/// --benchmark_repetitions=N the case carries the library's median
+/// aggregate, whether or not --benchmark_report_aggregates_only hides
+/// the individual repetitions; a single run stands for itself.
 class JsonCollectingReporter : public benchmark::ConsoleReporter {
  public:
+  explicit JsonCollectingReporter(OutputOptions options)
+      : ConsoleReporter(options) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      bench::BenchCaseResult result;
-      result.name = run.benchmark_name();
+      const bool median = run.run_type == Run::RT_Aggregate &&
+                          run.aggregate_name == "median";
+      if (run.error_occurred) continue;
+      if (run.run_type == Run::RT_Aggregate && !median) continue;
+      const std::string name = run.run_name.str();
+      const auto [it, added] = index_.emplace(name, cases_.size());
+      if (added) {
+        cases_.emplace_back();
+      } else if (!median) {
+        continue;  // A later repetition; the median row replaces the first.
+      }
+      bench::BenchCaseResult& result = cases_[it->second];
+      result.name = name;
       result.value = run.GetAdjustedRealTime();  // default unit: ns/op
       result.unit = "ns/op";
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) result.items_per_s = it->second;
+      const auto rate = run.counters.find("items_per_second");
+      if (rate != run.counters.end()) result.items_per_s = rate->second;
       result.iterations = static_cast<int64_t>(run.iterations);
-      cases_.push_back(std::move(result));
     }
     ConsoleReporter::ReportRuns(runs);
   }
@@ -289,15 +407,42 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
 
  private:
   std::vector<bench::BenchCaseResult> cases_;
+  std::map<std::string, size_t> index_;  // name -> position in cases_
 };
+
+/// Tabular console output, coloured the way the library's own reporter
+/// decides it: only when --benchmark_color allows it ("auto", the
+/// default, means only when stdout is a terminal). Reads argv before
+/// benchmark::Initialize consumes the flag.
+benchmark::ConsoleReporter::OutputOptions ConsoleOptions(int argc,
+                                                         char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_color=";
+  std::string color = "auto";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, kFlag.size()) == kFlag) {
+      color = std::string(arg.substr(kFlag.size()));
+    }
+  }
+  for (char& c : color) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  const bool use_color =
+      color == "auto" ? isatty(fileno(stdout)) != 0
+                      : !(color.empty() || color == "0" || color == "f" ||
+                          color == "false" || color == "n" || color == "no" ||
+                          color == "off");
+  return use_color ? benchmark::ConsoleReporter::OO_Defaults
+                   : benchmark::ConsoleReporter::OO_Tabular;
+}
 
 }  // namespace
 }  // namespace pstore
 
 int main(int argc, char** argv) {
+  pstore::JsonCollectingReporter reporter(pstore::ConsoleOptions(argc, argv));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  pstore::JsonCollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!pstore::bench::WriteBenchJson("micro_perf", "perf",

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -14,11 +14,59 @@
 /// every table, the rows of the buckets this partition currently owns,
 /// grouped by bucket so live migration can extract or install a bucket's
 /// rows as a unit.
+///
+/// Rows are stored packed: each row is one contiguous heap record (its
+/// modelled Row::ByteSize() followed by its tagged values, string bytes
+/// inline), and each (table, bucket) is a flat open-addressing table of
+/// {key, record} slots. Get decodes a record; Insert and Upsert encode
+/// one. See DESIGN.md §17.
 
 namespace pstore {
 
-/// Rows of one (table, bucket), keyed by partitioning key.
-using BucketRows = std::unordered_map<int64_t, Row>;
+/// Probe hash of a partitioning key inside its bucket's row table: a
+/// table of 2^n slots starts probing at the low n bits. Exposed so tests
+/// can build keys that share one probe chain.
+uint64_t RowProbeHash(int64_t key);
+
+/// One packed row; the layout is private to fragment.cc.
+struct RowRecord;
+
+/// \brief The rows of one (table, bucket): the unit ExtractBucket hands
+/// out and InstallBucket takes back. Opaque and move-only; a moved-from
+/// BucketRows is empty. Destroying it frees the rows it still holds.
+class BucketRows {
+ public:
+  BucketRows() = default;
+  BucketRows(BucketRows&& other) noexcept;
+  BucketRows& operator=(BucketRows&& other) noexcept;
+  BucketRows(const BucketRows&) = delete;
+  BucketRows& operator=(const BucketRows&) = delete;
+  ~BucketRows();
+
+  /// Rows held.
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  friend class StorageFragment;
+  struct Slot {
+    int64_t key;
+    RowRecord* record;  // nullptr: free slot.
+  };
+
+  Slot* Find(int64_t key, uint64_t probe) const;
+  /// Adds a record for a key that is not present.
+  void Add(int64_t key, uint64_t probe, RowRecord* record);
+  /// Unlinks the key's slot (backward-shift deletion) and returns its
+  /// record, or nullptr if absent. The caller owns the record.
+  RowRecord* Remove(int64_t key, uint64_t probe);
+  void Grow();
+  void Release();
+
+  Slot* slots_ = nullptr;
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 0;  // 0 or a power of two.
+};
 
 /// \brief All data a single partition owns.
 ///
@@ -78,18 +126,24 @@ class StorageFragment {
 
  private:
   struct TableStore {
-    // bucket -> rows of that bucket.
-    std::unordered_map<BucketId, BucketRows> buckets;
+    // Indexed by BucketId; sized to num_buckets_ on the table's first
+    // row, so tables a fragment never holds cost nothing.
+    std::vector<BucketRows> buckets;
     int64_t row_count = 0;
   };
 
   TableStore& StoreFor(TableId table);
-  const TableStore* StoreFor(TableId table) const;
+  /// The table's rows of one bucket, or nullptr if the table has never
+  /// held a row here.
+  BucketRows* RowsFor(TableId table, BucketId bucket);
+  const BucketRows* RowsFor(TableId table, BucketId bucket) const;
+  /// Accounts a record entering (+) or leaving (-) a bucket.
+  void AddBytes(BucketId bucket, int64_t bytes);
 
   const Catalog* catalog_;
   int32_t num_buckets_;
   std::vector<TableStore> tables_;
-  std::unordered_map<BucketId, int64_t> bucket_bytes_;
+  std::vector<int64_t> bucket_bytes_;  // Indexed by BucketId.
   int64_t total_bytes_ = 0;
 };
 

@@ -19,10 +19,14 @@ namespace pstore {
 using PartitionId = int32_t;
 using BucketId = int32_t;
 
+/// Maps a key's MurmurHash64A into [0, num_buckets).
+inline BucketId BucketOfHash(uint64_t key_hash, int32_t num_buckets) {
+  return static_cast<BucketId>(key_hash % static_cast<uint64_t>(num_buckets));
+}
+
 /// Hashes a partitioning key into [0, num_buckets).
 inline BucketId KeyToBucket(int64_t key, int32_t num_buckets) {
-  return static_cast<BucketId>(MurmurHash64A(key) %
-                               static_cast<uint64_t>(num_buckets));
+  return BucketOfHash(MurmurHash64A(key), num_buckets);
 }
 
 /// One bucket relocation: `bucket` moves from partition `from` to `to`.

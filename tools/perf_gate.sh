@@ -3,7 +3,8 @@
 # its JSON output against its committed baseline trajectory with
 # bench_compare, once per gated unit. The gated benches are one table
 # below:
-#   bench_micro_perf              hot-path ns/op, normalized by the
+#   bench_micro_perf              hot-path ns/op (each case the median
+#                                 of 3 repetitions), normalized by the
 #                                 median ratio so a uniformly slower
 #                                 machine cannot fail the gate
 #   bench_recovery_mttr           MTTR grid (s)
@@ -53,7 +54,7 @@ THRESHOLD="${THRESHOLD:-0.5}"
 
 # binary|bench args|baseline|current JSON|gated units|normalize
 STAGES="\
-$BENCH_MICRO_PERF|--benchmark_min_time=0.05|$BASELINE|$CURRENT|ns/op|yes
+$BENCH_MICRO_PERF|--benchmark_min_time=0.05 --benchmark_repetitions=3 --benchmark_enable_random_interleaving=true --benchmark_report_aggregates_only=true|$BASELINE|$CURRENT|ns/op|yes
 $BENCH_RECOVERY_MTTR|--seconds=30|$BASELINE_RECOVERY|$CURRENT_RECOVERY|s|no
 $BENCH_PARTITION_AVAILABILITY||$BASELINE_PARTITION|$CURRENT_PARTITION|s us|no
 $BENCH_OVERLOAD_DEGRADATION|--seconds=10|$BASELINE_OVERLOAD|$CURRENT_OVERLOAD|us/txn ms|no"
@@ -77,7 +78,8 @@ status=0
 while IFS='|' read -r bin args baseline current units normalize; do
   name=$(basename "$bin")
   rm -f "$current"
-  # $args is empty or one flag, so it is deliberately left unquoted.
+  # $args is empty or space-separated flags, so it is deliberately left
+  # unquoted.
   if ! "$bin" $args </dev/null; then
     echo "perf_gate: $name exited non-zero" >&2
     exit 1
